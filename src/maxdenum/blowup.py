@@ -10,15 +10,17 @@ Scanning a residue class of S records the adjustment s - ord(s)*e of each
 element. Adjustments never increase along the class and stabilize at the
 least element of B in the class, so the scan is finite. For each distinct
 adjustment value the candidate factorizations, the ones short enough to come
-from a maximal-length factorization in S, are counted; the largest count is
-the exact maximum number of maximal-length factorizations over the class,
-attained at an explicit witness element.
+from a maximal-length factorization in S, are counted without being built;
+the largest count is the exact maximum number of maximal-length
+factorizations over the class, attained at an explicit witness element. The
+candidate vectors themselves are enumerated only when a report's candidates
+are read.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError, InternalCheckError, NotAMember
 from .semigroup import (
@@ -27,6 +29,7 @@ from .semigroup import (
     Semigroup,
     _least_table_mod,
     contains,
+    count_factorizations,
     enumerate_factorizations,
     least_in_class,
     make_semigroup,
@@ -86,12 +89,36 @@ class AdjustmentTable:
 
 
 @dataclass(frozen=True)
+class CandidateCount:
+    value: int  # an adjustment value
+    count: int  # candidate factorizations of value over dset
+    longest: int  # length of the longest candidate
+    max_len: int | None  # length cap on the candidates; None for the least value
+
+
+@dataclass(frozen=True)
 class ResidueReport:
     residue: int
-    # pairs (adjustment value, candidate factorizations over dset)
-    candidates: tuple[tuple[int, tuple[Factorization, ...]], ...]
+    counts: tuple[CandidateCount, ...]  # increasing by value
     dmax_si: int  # max candidate count: the class's maximal denumerant
     witness: int  # element of the class attaining dmax_si
+    ctx: BlowupContext = field(compare=False, repr=False)
+
+    @cached_property
+    def candidates(self) -> tuple[tuple[int, tuple[Factorization, ...]], ...]:
+        """Pairs (adjustment value, candidate factorizations over dset),
+        enumerated on first read."""
+        return tuple(
+            (
+                c.value,
+                tuple(
+                    x
+                    for x in self.ctx.factorizations_over_dset(c.value)
+                    if c.max_len is None or x.length <= c.max_len
+                ),
+            )
+            for c in self.counts
+        )
 
 
 def blowup(S: Semigroup) -> BlowupContext:
@@ -146,67 +173,50 @@ def adjustment_table(ctx: BlowupContext, residue: int) -> AdjustmentTable:
 
 
 def residue_report(ctx: BlowupContext, table: AdjustmentTable) -> ResidueReport:
-    """Candidate factorization sets per adjustment value, and the class max.
+    """Candidate counts per adjustment value, and the class max.
 
     The least adjustment value admits every factorization over dset as a
     candidate. Each later value u admits only factorizations strictly
     shorter than min_order(previous value) - (u - previous value)/e; longer
-    ones cannot arise from a maximal-length factorization in S. The largest
-    candidate count is the class's maximal denumerant, attained at
-    witness = value + (longest candidate length) * e.
+    ones cannot arise from a maximal-length factorization in S. Candidates
+    are counted, not built: the report keeps each value's count and longest
+    candidate length, and enumerates the vectors only when its candidates
+    are read. The largest count is the class's maximal denumerant, attained
+    at witness = value + (longest candidate length) * e.
     """
     e = ctx.source.multiplicity
-    sets: list[tuple[int, tuple[Factorization, ...]]] = []
-    prev_value: int | None = None
-    prev_min_order = 0
+    counts: list[CandidateCount] = []
+    prev: AdjustmentEntry | None = None
     for entry in table.entries:
-        all_facts = ctx.factorizations_over_dset(entry.value)
-        if prev_value is None:
-            chosen = all_facts
+        if prev is None:
+            cap = None
         else:
-            gap, rem = divmod(entry.value - prev_value, e)
+            gap, rem = divmod(entry.value - prev.value, e)
             if rem:
                 raise InternalCheckError(
-                    f"adjustment values {prev_value} and {entry.value} differ "
+                    f"adjustment values {prev.value} and {entry.value} differ "
                     f"by a non-multiple of {e}"
                 )
-            cap = prev_min_order - gap
-            chosen = tuple(x for x in all_facts if x.length < cap)
-        if not chosen:
+            cap = prev.min_order - gap - 1  # strictly below min_order - gap
+        n, longest = count_factorizations(ctx.dset, entry.value, cap)
+        if not n:
             raise InternalCheckError(
                 f"empty candidate set at adjustment value {entry.value} "
                 f"in class {table.residue}"
             )
-        sets.append((entry.value, chosen))
-        prev_value = entry.value
-        prev_min_order = entry.min_order
-    best = max(len(facts) for _, facts in sets)
-    witness = -1
-    for value, facts in sets:  # ties resolve toward the smallest value
-        if len(facts) == best:
-            witness = value + max(x.length for x in facts) * e
-            break
-    return ResidueReport(table.residue, tuple(sets), best, witness)
+        counts.append(CandidateCount(entry.value, n, longest, cap))
+        prev = entry
+    best = max(c.count for c in counts)
+    # ties resolve toward the smallest value
+    top = next(c for c in counts if c.count == best)
+    return ResidueReport(table.residue, tuple(counts), best, top.value + top.longest * e, ctx)
 
 
-def dmax(S: Semigroup, workers: int = 1) -> tuple[int, list[ResidueReport]]:
-    """Maximal denumerant of S with one report per residue class.
-
-    The class reports are independent of each other; workers > 1 computes
-    them on a thread pool after the shared tables are warmed up, with output
-    order fixed by residue either way.
-    """
-    if S.generators == (1,):
-        # every element k has the unique maximal factorization k * 1
-        trivial = ResidueReport(0, ((0, (Factorization((0,)),)),), 1, 0)
-        return 1, [trivial]
+def dmax(S: Semigroup) -> tuple[int, list[ResidueReport]]:
+    """Maximal denumerant of S with one report per residue class, in
+    residue order."""
     ctx = blowup(S)
-    tables = [adjustment_table(ctx, i) for i in range(S.multiplicity)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: residue_report(ctx, t), tables))
-    else:
-        reports = [residue_report(ctx, t) for t in tables]
+    reports = [residue_report(ctx, adjustment_table(ctx, i)) for i in range(S.multiplicity)]
     return max(r.dmax_si for r in reports), reports
 
 
@@ -218,5 +228,4 @@ def max_denumerant_element_via_blowup(ctx: BlowupContext, s: int) -> int:
     if not contains(S, s):
         raise NotAMember(f"{s} is not in {S}")
     r = order(S, s)
-    adj = s - r * S.multiplicity
-    return sum(1 for x in ctx.factorizations_over_dset(adj) if x.length <= r)
+    return count_factorizations(ctx.dset, s - r * S.multiplicity, r)[0]

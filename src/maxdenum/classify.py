@@ -22,6 +22,7 @@ from .semigroup import (
     Semigroup,
     apery_set,
     contains,
+    count_factorizations,
     frobenius_number,
     make_semigroup,
     max_apery,
@@ -153,7 +154,7 @@ def dmax_additive(S: Semigroup) -> int:
         # the blowup Apery set is {0} alone, so S is all nonnegative
         # integers and k*1 is the one maximal factorization of each k
         return 1
-    return max(len(ctx.factorizations_over_dset(f)) for f in tops)
+    return max(count_factorizations(ctx.dset, f)[0] for f in tops)
 
 
 def dmax_symmetric_blowup(S: Semigroup) -> int:
@@ -165,7 +166,7 @@ def dmax_symmetric_blowup(S: Semigroup) -> int:
     if not is_symmetric(ctx.blowup):
         raise PreconditionFailed(f"the blowup of {S} is not symmetric")
     target = frobenius_number(ctx.blowup) + S.multiplicity
-    return len(ctx.factorizations_over_dset(target))
+    return count_factorizations(ctx.dset, target)[0]
 
 
 def partition_count(n: int, max_part: int) -> int:

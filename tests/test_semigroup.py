@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxdenum import (
@@ -15,6 +15,7 @@ from maxdenum import (
     Semigroup,
     apery_set,
     contains,
+    count_factorizations,
     denumerant,
     enumerate_factorizations,
     frobenius_number,
@@ -243,6 +244,40 @@ class TestFactorizations:
             )
         assert len(facts) == count(0, n)
 
+
+
+def _filtered_count(gens, n, max_len):
+    lengths = [
+        f.length
+        for f in enumerate_factorizations(gens, n)
+        if max_len is None or f.length <= max_len
+    ]
+    return (len(lengths), max(lengths)) if lengths else (0, None)
+
+
+class TestCountFactorizations:
+    def test_reference_blowup_values(self):
+        dset = GeneratingSet([15, 2, 21, 23, 56])
+        assert count_factorizations(dset, 56) == (8, 28)
+        assert count_factorizations(dset, 56, 8) == (3, 8)
+        assert count_factorizations(dset, 56, 0) == (0, None)
+        assert count_factorizations(dset, 0) == (1, 0)
+        assert count_factorizations(dset, -3) == (0, None)
+
+    @given(
+        st.lists(st.integers(1, 25), min_size=1, max_size=5, unique=True),
+        st.integers(-2, 90),
+        st.none() | st.integers(-1, 45),
+    )
+    @example([9, 6, 4], 38, None)  # last pair 6 > 4 shares the factor 2
+    @example([10, 6, 3], 45, 9)  # last pair 6 > 3: b/gcd = 1
+    @example([7, 3], 42, None)  # two generators in all
+    @example([7, 3], 42, 9)
+    @example([5, 3], 30, 5)  # cap below every length (the shortest is 6)
+    @example([11, 8, 5, 2], 60, 0)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_filtered_enumeration(self, gens, n, max_len):
+        assert count_factorizations(gens, n, max_len) == _filtered_count(gens, n, max_len)
 
 class TestOrders:
     def test_order_of_zero_is_zero(self):

@@ -27,7 +27,7 @@ from .semigroup import (
     Factorization,
     GeneratingSet,
     Semigroup,
-    _least_table_mod,
+    _least_table,
     contains,
     count_factorizations,
     enumerate_factorizations,
@@ -54,16 +54,12 @@ class BlowupContext:
         dset_elems = (e,) + tuple(a - e for a in source.generators[1:])
         self.dset = GeneratingSet(dset_elems)
         self.blowup = make_semigroup(dset_elems)
-        self._least_b: list[int] | None = None
+        self._least_b = _least_table(self.blowup.generators, e)
         self._facts: dict[int, tuple[Factorization, ...]] = {}
 
     def least_blowup_in_class(self, residue: int) -> int:
         """Least element of B congruent to residue mod the multiplicity of
         the source (not of B, whose own multiplicity may be smaller)."""
-        if self._least_b is None:
-            self._least_b = _least_table_mod(
-                self.blowup.generators, self.source.multiplicity
-            )
         return self._least_b[residue]
 
     def factorizations_over_dset(self, b: int) -> tuple[Factorization, ...]:

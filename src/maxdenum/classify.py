@@ -26,7 +26,6 @@ from .semigroup import (
     frobenius_number,
     make_semigroup,
     max_apery,
-    min_order,
     order,
 )
 
@@ -52,27 +51,6 @@ def is_additive(S: Semigroup) -> bool:
     ctx = blowup(S)
     return all(
         len(adjustment_table(ctx, i).entries) == 1 for i in range(S.multiplicity)
-    )
-
-
-def additive_by_order_scan(S: Semigroup, limit: int | None = None) -> bool:
-    """Definition-level additivity check: ord(u + e) = ord(u) + 1 for every
-    element u up to a stabilization limit. Slower cross-check for
-    is_additive; used by the test suite.
-
-    The default limit covers every class through the point where its
-    adjustment reaches the least blowup element, past which the order grows
-    by exactly one per step of e forever.
-    """
-    e = S.multiplicity
-    if limit is None:
-        ctx = blowup(S)
-        limit = e + max(
-            ctx.least_blowup_in_class(i) + min_order(ctx.dset, ctx.least_blowup_in_class(i)) * e
-            for i in range(e)
-        )
-    return all(
-        order(S, u + e) == order(S, u) + 1 for u in range(limit + 1) if contains(S, u)
     )
 
 

@@ -4,12 +4,20 @@ Everything here is exact integer arithmetic on Python ints, so there is no
 overflow to guard against. A numerical semigroup is the set of nonnegative
 integer combinations of finitely many positive integers with gcd 1; its
 complement in the nonnegative integers is then finite.
+
+One routine builds every table of least elements per residue class: the
+round-robin fold of Boecker and Liptak ("A fast and simple algorithm for the
+money changing problem", Algorithmica 2007) adds one generator to a table
+mod m in O(m). It minimalizes generators, gives the Apery table of S, the
+blowup's table mod the source multiplicity and Apery sets for any base, so
+their cost depends on the moduli and the number of generators, not on how
+large the generators are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 
 from .errors import (
     DuplicateEntry,
@@ -74,18 +82,18 @@ class Semigroup:
     """Numerical semigroup held by its minimal generating set.
 
     Construct through make_semigroup, which reduces the input to minimal
-    generators and validates the gcd condition. Instances cache the table of
-    least elements per residue class and a factorization-length table, so
-    membership and order queries are cheap after warmup. Caches are written
-    once and then only read, so sharing an instance across threads for
-    reading is safe.
+    generators and validates the gcd condition. The least element of each
+    residue class modulo the multiplicity (the Apery table) is a by-product
+    of that reduction and is stored at construction, so membership is
+    constant time. The factorization-length table is grown on demand by
+    order and min_order.
     """
 
     __slots__ = ("generators", "_least", "_lengths")
 
-    def __init__(self, generators: tuple[int, ...]) -> None:
+    def __init__(self, generators: tuple[int, ...], least: list[int]) -> None:
         self.generators = generators
-        self._least = None
+        self._least = least
         self._lengths = None
 
     @property
@@ -123,62 +131,65 @@ def make_semigroup(raw_generators) -> Semigroup:
     if gcd(*entries) != 1:
         raise GcdNotOne(f"gcd({entries}) > 1: the complement would be infinite")
     candidates = sorted(set(entries))
-    top = candidates[-1]
-    # reach[n]: n is a sum of already-kept generators; a candidate that is
-    # reachable when its turn comes is redundant (sums only use smaller ones)
-    reach = [False] * (top + 1)
-    reach[0] = True
-    kept: list[int] = []
-    for g in candidates:
-        if reach[g]:
+    # fold the kept generators into a table mod the smallest one; a larger
+    # candidate is redundant exactly when the kept ones already reach its
+    # class at or below it (sums only use smaller generators)
+    m = candidates[0]
+    least = [0] + [inf] * (m - 1)
+    kept = [m]
+    for g in candidates[1:]:
+        if least[g % m] <= g:
             continue
         kept.append(g)
-        for v in range(g, top + 1):
-            if reach[v - g]:
-                reach[v] = True
-    return Semigroup(tuple(kept))
+        _fold(least, g)
+    return Semigroup(tuple(kept), least)
 
 
-def _least_table_mod(gens: tuple[int, ...], modulus: int) -> list[int]:
-    """Least nonnegative combination of gens in each class mod modulus.
+def _fold(least: list, a: int) -> None:
+    """Fold generator a into least, a table of least combinations per class
+    mod len(least) with inf for a class not yet reached, in place.
 
-    Fixpoint relaxation from 0: repeatedly try to improve class minima by
-    adding one generator to a known minimum, until stable. Needs gcd(gens)
-    coprime to modulus so that every class gets reached; all callers pass
-    gcd-1 generating sets.
+    Round robin: adding a splits the classes into gcd(a, m) cycles of +a.
+    A cycle's least entry cannot improve, since any other entry plus a
+    multiple of a exceeds it. Walking on from it, each class takes the
+    smaller of its own entry and the previous class's new entry plus a, so
+    one pass settles the cycle. A cycle with no entry yet stays unreached.
     """
-    least: list[int | None] = [None] * modulus
-    least[0] = 0
-    changed = True
-    while changed:
-        changed = False
-        for r in range(modulus):
-            base = least[r]
-            if base is None:
-                continue
-            for g in gens:
-                v = base + g
-                t = v % modulus
-                cur = least[t]
-                if cur is None or v < cur:
-                    least[t] = v
-                    changed = True
-    return least  # type: ignore[return-value]
+    m = len(least)
+    d = gcd(a, m)
+    for p in range(d):
+        cycle = least[p::d]
+        cur = min(cycle)
+        if cur == inf:
+            continue
+        r = p + d * cycle.index(cur)
+        for _ in range(m // d - 1):
+            r = (r + a) % m
+            cur += a
+            if least[r] < cur:
+                cur = least[r]
+            else:
+                least[r] = cur
 
 
-def _least_table(S: Semigroup) -> list[int]:
-    if S._least is None:
-        S._least = _least_table_mod(S.generators, S.multiplicity)
-    return S._least
+def _least_table(gens, modulus: int) -> list[int]:
+    """Least nonnegative combination of gens in each class mod modulus.
+    Every class is reached when gcd(gens) is coprime to modulus; all callers
+    pass gcd-1 generating sets."""
+    least = [0] + [inf] * (modulus - 1)
+    for a in gens:
+        _fold(least, a)
+    return least
 
 
 def least_in_class(S: Semigroup, residue: int) -> int:
     """Least element of S congruent to residue modulo the multiplicity."""
-    return _least_table(S)[residue % S.multiplicity]
+    return S._least[residue % S.multiplicity]
 
 
 def contains(S: Semigroup, n: int) -> bool:
-    """Membership test; constant time once the residue table is built."""
+    """Membership test in constant time: n is in S exactly when it is at
+    least the least element of its class."""
     if n < 0:
         return False
     return n >= least_in_class(S, n)
@@ -186,27 +197,19 @@ def contains(S: Semigroup, n: int) -> bool:
 
 def frobenius_number(S: Semigroup) -> int:
     """Largest integer outside S; -1 when S is all nonnegative integers."""
-    return max(_least_table(S)) - S.multiplicity
+    return max(S._least) - S.multiplicity
 
 
 def apery_set(S: Semigroup, u: int | None = None) -> AperySet:
-    """All w in S with w - u not in S. Defaults to u = multiplicity, where
-    the result is exactly the least element of each residue class."""
+    """All w in S with w - u not in S, that is the least element of S in
+    each residue class mod u. Defaults to u = multiplicity."""
     e = S.multiplicity
     if u is None:
         u = e
     if u <= 0 or not contains(S, u):
         raise NotAMember(f"base element {u} is not a nonzero element of {S}")
-    if u == e:
-        elems = tuple(sorted(_least_table(S)))
-    else:
-        # every member is at most frobenius + u: anything larger has its
-        # difference with u past the frobenius number, hence inside S
-        top = frobenius_number(S) + u
-        elems = tuple(
-            n for n in range(top + 1) if contains(S, n) and not contains(S, n - u)
-        )
-    return AperySet(base_element=u, elements=elems)
+    least = S._least if u == e else _least_table(S.generators, u)
+    return AperySet(base_element=u, elements=tuple(sorted(least)))
 
 
 def enumerate_factorizations(generators, n: int) -> list[Factorization]:

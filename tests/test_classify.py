@@ -14,6 +14,7 @@ from maxdenum import (
     blowup,
     ceil_div,
     classify,
+    contains,
     dmax,
     dmax_additive,
     dmax_arithmetic,
@@ -25,9 +26,31 @@ from maxdenum import (
     is_supersymmetric,
     is_symmetric,
     make_semigroup,
+    min_order,
+    order,
     partition_count,
 )
-from maxdenum.classify import _bezout, additive_by_order_scan
+from maxdenum.classify import _bezout
+
+
+def additive_by_order_scan(S):
+    """Definition-level additivity check: ord(u + e) = ord(u) + 1 for every
+    element u up to a stabilization limit. Slower cross-check for
+    is_additive.
+
+    The limit covers every class through the point where its adjustment
+    reaches the least blowup element, past which the order grows by exactly
+    one per step of e forever.
+    """
+    e = S.multiplicity
+    ctx = blowup(S)
+    limit = e + max(
+        ctx.least_blowup_in_class(i) + min_order(ctx.dset, ctx.least_blowup_in_class(i)) * e
+        for i in range(e)
+    )
+    return all(
+        order(S, u + e) == order(S, u) + 1 for u in range(limit + 1) if contains(S, u)
+    )
 
 
 class TestCeilDiv:

@@ -1,7 +1,15 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maxdenum
 from maxdenum import (
     AperySet,
     DuplicateEntry,
@@ -14,6 +22,7 @@ from maxdenum import (
     NotRepresentable,
     Semigroup,
     apery_set,
+    blowup,
     contains,
     count_factorizations,
     denumerant,
@@ -32,12 +41,46 @@ raw_gen_lists = st.lists(st.integers(1, 60), min_size=1, max_size=6).filter(
 )
 
 
-def naive_member(gens, n):
-    if n == 0:
-        return True
-    if n < 0:
-        return False
-    return any(naive_member(gens, n - g) for g in gens)
+def naive_member(gens, n, memo=None):
+    """n is a sum of entries of gens, by recursion on n - g. Calls on the
+    same gens may share one memo dict."""
+    if n <= 0:
+        return n == 0
+    if memo is None:
+        memo = {}
+    if n not in memo:
+        memo[n] = any(naive_member(gens, n - g, memo) for g in gens)
+    return memo[n]
+
+
+def reach_minimalize(entries):
+    """Minimal generators by a reachability list up to the largest entry: a
+    candidate is redundant when the kept smaller ones already reach it."""
+    candidates = sorted(set(entries))
+    top = candidates[-1]
+    reach = [True] + [False] * top
+    kept = []
+    for g in candidates:
+        if reach[g]:
+            continue
+        kept.append(g)
+        for v in range(g, top + 1):
+            if reach[v - g]:
+                reach[v] = True
+    return tuple(kept)
+
+
+def assert_least_table(gens, modulus, least):
+    """least[r] is the least sum of entries of gens congruent to r mod
+    modulus, for every class r."""
+    assert len(least) == modulus
+    memo = {}
+    # settle membership from below so that each recursion stays shallow
+    member = [naive_member(gens, n, memo) for n in range(max(least) + 1)]
+    for r, w in enumerate(least):
+        assert w % modulus == r
+        assert member[w]
+        assert w < modulus or not member[w - modulus]
 
 
 class TestConstruction:
@@ -135,6 +178,87 @@ class TestMembership:
     def test_membership_matches_naive_recursion(self, xs, n):
         S = make_semigroup(xs)
         assert contains(S, n) == naive_member(S.generators, n)
+
+
+class TestLeastTables:
+    @given(raw_gen_lists, st.integers(1, 150))
+    # folds with gcd(a, m) > 1 that leave some cycles unreached: 9 and 20
+    # mod 9, 6 mod 10, 2 mod 4
+    @example([6, 9, 20], 9)
+    @example([6, 10, 15], 10)
+    @example([15, 2, 21, 23, 56], 4)
+    @settings(max_examples=80, deadline=None)
+    def test_tables_match_naive_membership(self, xs, k):
+        S = make_semigroup(xs)
+        assert S.generators == reach_minimalize(xs)
+        e = S.multiplicity
+        assert_least_table(xs, e, [least_in_class(S, r) for r in range(e)])
+        ctx = blowup(S)
+        assert_least_table(
+            ctx.dset.elements, e, [ctx.least_blowup_in_class(r) for r in range(e)]
+        )
+        memo = {}
+        u = next(n for n in itertools.count(k) if naive_member(xs, n, memo))
+        ap = apery_set(S, u)
+        assert ap.base_element == u
+        assert_least_table(xs, u, sorted(ap.elements, key=lambda w: w % u))
+
+
+# the calls must not allocate by the size of the generators: at 10**12 a
+# table indexed by value would need terabytes, so the child's address space
+# is capped and a regression fails as MemoryError
+MAGNITUDE_CHILD = """
+import json, resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+from maxdenum import apery_set, blowup, frobenius_number, least_in_class, make_semigroup
+out = []
+for gens in ([3, 10**12 + 1], [5, 7, 10**12 + 3, 2 * 10**12]):
+    S = make_semigroup(gens)
+    e = S.multiplicity
+    ctx = blowup(S)
+    out.append({
+        "generators": S.generators,
+        "frobenius": frobenius_number(S),
+        "least": [least_in_class(S, r) for r in range(e)],
+        "apery": apery_set(S).elements,
+        "least_blowup": [ctx.least_blowup_in_class(r) for r in range(e)],
+        "blowup": ctx.blowup.generators,
+    })
+print(json.dumps(out))
+"""
+
+
+class TestMagnitude:
+    def test_huge_generators_cost_nothing_by_size(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(maxdenum.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", MAGNITUDE_CHILD],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        big = 10**12
+        assert json.loads(proc.stdout) == [
+            {
+                "generators": [3, big + 1],
+                "frobenius": 2 * big - 1,
+                "least": [0, 2 * big + 2, big + 1],
+                "apery": [0, big + 1, 2 * big + 2],
+                "least_blowup": [0, 2 * (big - 2), big - 2],
+                "blowup": [3, big - 2],
+            },
+            {
+                "generators": [5, 7],
+                "frobenius": 23,
+                "least": [0, 21, 7, 28, 14],
+                "apery": [0, 7, 14, 21, 28],
+                "least_blowup": [0, 6, 2, 8, 4],
+                "blowup": [2, 5],
+            },
+        ]
 
 
 class TestAperySet:

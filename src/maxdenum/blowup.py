@@ -15,10 +15,17 @@ the largest count is the exact maximum number of maximal-length
 factorizations over the class, attained at an explicit witness element. The
 candidate vectors themselves are enumerated only when a report's candidates
 are read.
+
+All of this is one analysis per semigroup: blowup(S) returns the same
+context to every caller for as long as one of them holds it, and the
+context keeps each class's scan once made, so the general engine, the fast
+paths and the classification share the blowup and the scans instead of
+rebuilding them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,10 +50,12 @@ class BlowupContext:
 
     dset keeps the source generator order: position 0 holds the multiplicity
     e, position i holds generators[i] - e. It generates B but need not be
-    minimal; blowup holds B reduced to minimal generators.
+    minimal; blowup holds B reduced to minimal generators. The context also
+    keeps the adjustment table of each class scanned so far. Obtain it
+    through blowup(S), which shares one context per semigroup.
     """
 
-    __slots__ = ("source", "dset", "blowup", "_least_b", "_facts")
+    __slots__ = ("source", "dset", "blowup", "_least_b", "_facts", "_tables", "__weakref__")
 
     def __init__(self, source: Semigroup) -> None:
         self.source = source
@@ -56,6 +65,7 @@ class BlowupContext:
         self.blowup = make_semigroup(dset_elems)
         self._least_b = _least_table(self.blowup.generators, e)
         self._facts: dict[int, tuple[Factorization, ...]] = {}
+        self._tables: dict[int, AdjustmentTable] = {}
 
     def least_blowup_in_class(self, residue: int) -> int:
         """Least element of B congruent to residue mod the multiplicity of
@@ -119,8 +129,18 @@ class ResidueReport:
 
 def blowup(S: Semigroup) -> BlowupContext:
     """Blowup context of S: generating set (e, a1-e, ..., at-e) in source
-    order plus the semigroup it generates."""
-    return BlowupContext(S)
+    order plus the semigroup it generates.
+
+    While any caller holds the context, every call on S returns that same
+    context, with the scans already made. S refers to it only weakly, so
+    it is freed, tables and scans with it, when its last holder drops it;
+    the next call then builds a new one.
+    """
+    ctx = S._blowup() if S._blowup is not None else None
+    if ctx is None:
+        ctx = BlowupContext(S)
+        S._blowup = weakref.ref(ctx)
+    return ctx
 
 
 def adjustment(S: Semigroup, s: int) -> int:
@@ -136,11 +156,16 @@ def adjustment_table(ctx: BlowupContext, residue: int) -> AdjustmentTable:
     The scan runs from the least element of the class through
     f + min_order(f over dset) * e, where f is the least element of B in the
     class; past that point the adjustment stays f, so nothing is missed.
+    Each class is scanned once per context; later calls return the stored
+    table.
     """
     S = ctx.source
     e = S.multiplicity
     if not 0 <= residue < e:
         raise InputError(f"residue {residue} out of range for multiplicity {e}")
+    table = ctx._tables.get(residue)
+    if table is not None:
+        return table
     f = ctx.least_blowup_in_class(residue)
     stop = f + min_order(ctx.dset, f) * e
     start = least_in_class(S, residue)
@@ -165,7 +190,8 @@ def adjustment_table(ctx: BlowupContext, residue: int) -> AdjustmentTable:
             f"least adjustment in class {residue} is {values[0]}, expected {f}"
         )
     entries = tuple(AdjustmentEntry(v, min_order(ctx.dset, v)) for v in values)
-    return AdjustmentTable(residue, entries, tuple(rows))
+    table = ctx._tables[residue] = AdjustmentTable(residue, entries, tuple(rows))
+    return table
 
 
 def residue_report(ctx: BlowupContext, table: AdjustmentTable) -> ResidueReport:

@@ -3,7 +3,10 @@
 Fast paths cover additive semigroups (all class maxima sit at the blowup
 Apery elements), additive semigroups with symmetric blowup (one denumerant
 evaluation), arithmetic sequences (bounded integer partitions), and
-three-generator input (two ceiling formulas that must agree).
+three-generator input (two ceiling formulas that must agree). Each fast path
+raises a PreconditionError when its input does not qualify. classify and the
+blowup fast paths hold the shared blowup context for their whole run, so
+their checks build it once and scan each residue class at most once.
 """
 
 from __future__ import annotations
@@ -112,9 +115,10 @@ class Classification:
 
 def classify(S: Semigroup) -> Classification:
     """The structural facts that select the fast paths."""
+    ctx = blowup(S)  # held so that every check below shares it
     return Classification(
         additive=is_additive(S),
-        blowup_symmetric=is_symmetric(blowup(S).blowup),
+        blowup_symmetric=is_symmetric(ctx.blowup),
         supersymmetric=is_supersymmetric(S),
         arithmetic_sequence=arithmetic_parameters(S),
     )
@@ -124,9 +128,9 @@ def dmax_additive(S: Semigroup) -> int:
     """Maximal denumerant of an additive semigroup: the largest denumerant
     over the blowup generating set among maximal Apery elements of the
     blowup."""
+    ctx = blowup(S)
     if not is_additive(S):
         raise NotAdditive(f"{S} is not additive")
-    ctx = blowup(S)
     tops = max_apery(ctx.blowup, S.multiplicity)
     if not tops:
         # the blowup Apery set is {0} alone, so S is all nonnegative

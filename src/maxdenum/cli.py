@@ -26,8 +26,6 @@ from .classify import (
     dmax_arithmetic,
     dmax_ed3,
     dmax_symmetric_blowup,
-    is_additive,
-    is_symmetric,
 )
 from .errors import (
     InputError,
@@ -125,15 +123,13 @@ def _dmax_dispatch(S: Semigroup, method: str):
         return dmax_additive(S), "additive", None
     if method == "oracle":
         return oracle_dmax(S), "oracle", None
-    # auto: cheapest applicable path first
-    if arithmetic_parameters(S) is not None:
-        return _dmax_dispatch(S, "arithmetic")
-    if S.embedding_dimension == 3:
-        return _dmax_dispatch(S, "ed3")
-    if is_additive(S):
-        if is_symmetric(blowup(S).blowup):
-            return _dmax_dispatch(S, "symmetric-blowup")
-        return _dmax_dispatch(S, "additive")
+    # auto: the first fast path, cheapest first, whose own precondition
+    # check passes, else the general engine
+    for candidate in ("arithmetic", "ed3", "symmetric-blowup", "additive"):
+        try:
+            return _dmax_dispatch(S, candidate)
+        except PreconditionError:
+            pass
     return _dmax_dispatch(S, "general")
 
 
@@ -153,6 +149,7 @@ def _run(args: argparse.Namespace) -> dict:
     gens = list(args.generators)
     if args.command == "dmax":
         S = make_semigroup(gens)
+        ctx = blowup(S)  # held so that dispatch and --verify share one scan
         value, used, reports = _dmax_dispatch(S, args.method)
         if args.verify and used != "general":
             check, _ = dmax(S)

@@ -86,15 +86,19 @@ class Semigroup:
     residue class modulo the multiplicity (the Apery table) is a by-product
     of that reduction and is stored at construction, so membership is
     constant time. The factorization-length table is grown on demand by
-    order and min_order.
+    order and min_order. _blowup holds a weak reference to the blowup
+    context that blowup.blowup shares among its callers; the context holds
+    the semigroup strongly, so the pair forms no reference cycle and the
+    context is freed once its last caller drops it.
     """
 
-    __slots__ = ("generators", "_least", "_lengths")
+    __slots__ = ("generators", "_least", "_lengths", "_blowup")
 
     def __init__(self, generators: tuple[int, ...], least: list[int]) -> None:
         self.generators = generators
         self._least = least
         self._lengths = None
+        self._blowup = None
 
     @property
     def multiplicity(self) -> int:
@@ -303,8 +307,9 @@ def count_factorizations(
 
 
 def denumerant(generators, n: int) -> int:
-    """Number of factorizations of n over the generating set."""
-    return len(enumerate_factorizations(generators, n))
+    """Number of factorizations of n over the generating set, counted
+    without building them."""
+    return count_factorizations(generators, n)[0]
 
 
 class _LengthTable:

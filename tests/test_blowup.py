@@ -1,14 +1,20 @@
+import gc
 import importlib
+import weakref
+from collections import Counter
 
 import pytest
 
 from maxdenum import (
+    BlowupContext,
     Factorization,
     InputError,
     NotAMember,
+    PreconditionError,
     adjustment,
     adjustment_table,
     blowup,
+    classify,
     contains,
     dmax,
     dmax_additive,
@@ -22,8 +28,17 @@ from maxdenum import (
     order,
     residue_report,
 )
+from maxdenum.cli import main
 
 from conftest import NAMED, REFERENCE
+
+# one input per blowup-based dispatch outcome of `dmax --method auto`; none
+# is an arithmetic sequence or has three generators
+SHARING_INPUTS = {
+    "additive": (5, 8, 9, 11),
+    "symmetric-blowup": (5, 7, 8, 9),
+    "general": REFERENCE,
+}
 
 
 class TestBlowupContext:
@@ -249,3 +264,93 @@ class TestElementCounting:
                     if x.coefficients[0] == 0 and x.length <= r
                 ]
                 assert exact == len(shifted), (s, r)
+
+
+@pytest.fixture
+def analysis_log(monkeypatch):
+    """Counts the BlowupContexts built and the residue classes scanned while
+    a test runs. Only counts are kept, so no context is held alive."""
+    log = {"contexts": 0, "scans": Counter()}
+    init = BlowupContext.__init__
+
+    def counting_init(self, source):
+        init(self, source)
+        log["contexts"] += 1
+
+    # the package exports a function named blowup, so fetch the module
+    module = importlib.import_module("maxdenum.blowup")
+    least = module.least_in_class
+
+    def counting_least(S, residue):
+        # adjustment_table reads the least element once per scan of a class
+        log["scans"][residue] += 1
+        return least(S, residue)
+
+    monkeypatch.setattr(BlowupContext, "__init__", counting_init)
+    monkeypatch.setattr(module, "least_in_class", counting_least)
+    return log
+
+
+class TestSharedAnalysis:
+    def test_blowup_is_shared_while_held(self):
+        S = make_semigroup(REFERENCE)
+        ctx = blowup(S)
+        assert blowup(S) is ctx
+        assert dmax(S)[1][0].ctx is ctx
+
+    def test_each_class_is_scanned_once_per_context(self, analysis_log):
+        ctx = blowup(make_semigroup(REFERENCE))
+        table = adjustment_table(ctx, 11)
+        assert adjustment_table(ctx, 11) is table
+        assert analysis_log["scans"] == {11: 1}
+
+    @pytest.mark.parametrize("kind", sorted(SHARING_INPUTS))
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_cli_dmax_builds_one_analysis(self, analysis_log, capsys, kind, verify):
+        argv = ["dmax", *map(str, SHARING_INPUTS[kind]), "--format", "json"]
+        assert main(argv + ["--verify"] * verify) == 0
+        assert f'"method_used": "{kind}"' in capsys.readouterr().out
+        assert analysis_log["contexts"] == 1
+        assert max(analysis_log["scans"].values()) == 1
+
+    @pytest.mark.parametrize("kind", sorted(SHARING_INPUTS))
+    def test_library_entry_points_build_one_analysis_each(self, analysis_log, kind):
+        for call in (classify, dmax_additive, dmax_symmetric_blowup, dmax):
+            analysis_log["contexts"] = 0
+            analysis_log["scans"].clear()
+            try:
+                call(make_semigroup(SHARING_INPUTS[kind]))
+            except PreconditionError:
+                pass
+            assert analysis_log["contexts"] == 1, call
+            assert max(analysis_log["scans"].values()) == 1, call
+
+    def test_no_context_outlives_its_last_holder(self, monkeypatch, capsys):
+        # with the collector off only reference counting frees objects, so
+        # a context kept in a reference cycle with its semigroup stays alive
+        refs = []
+        init = BlowupContext.__init__
+
+        def tracking_init(self, source):
+            init(self, source)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(BlowupContext, "__init__", tracking_init)
+        gc.disable()
+        try:
+            for gens in SHARING_INPUTS.values():
+                S = make_semigroup(gens)
+                dmax(S)
+                classify(S)
+                for fast_path in (dmax_additive, dmax_symmetric_blowup):
+                    try:
+                        fast_path(S)
+                    except PreconditionError:
+                        pass
+                del S
+                assert main(["dmax", *map(str, gens), "--verify", "--format", "json"]) == 0
+            capsys.readouterr()
+            assert refs
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

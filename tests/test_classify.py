@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxdenum import (
@@ -9,6 +9,7 @@ from maxdenum import (
     InternalCheckError,
     InvalidParameters,
     NotAdditive,
+    PreconditionError,
     PreconditionFailed,
     arithmetic_parameters,
     blowup,
@@ -31,6 +32,30 @@ from maxdenum import (
     partition_count,
 )
 from maxdenum.classify import _bezout
+from maxdenum.cli import _dmax_dispatch
+
+# small semigroups: multiplicity 1..12, up to four more generators below 3e
+small_gen_lists = (
+    st.integers(1, 12)
+    .flatmap(
+        lambda e: st.lists(st.integers(e + 1, 3 * e), max_size=4).map(lambda xs: [e, *xs])
+    )
+    .filter(lambda xs: math.gcd(*xs) == 1)
+)
+
+# the documented auto dispatch order: (method, method_used, precondition)
+DISPATCH_ORDER = (
+    ("arithmetic", "arithmetic", lambda S: arithmetic_parameters(S) is not None),
+    ("ed3", "ed3-ceiling", lambda S: S.embedding_dimension == 3),
+    (
+        "symmetric-blowup",
+        "symmetric-blowup",
+        lambda S: is_additive(S) and is_symmetric(blowup(S).blowup),
+    ),
+    ("additive", "additive", is_additive),
+    ("general", "general", lambda S: True),
+)
+METHODS = [method for method, _, _ in DISPATCH_ORDER] + ["oracle", "auto"]
 
 
 def additive_by_order_scan(S):
@@ -277,3 +302,57 @@ class TestEd3:
                 continue
             inp = Ed3Input.from_generators(*S.generators)
             assert dmax_ed3(inp) == engine_results[S.generators][0], S
+
+
+def _outcome(S, method):
+    """What a method gives on S: its (value, method_used, reports), or the
+    type of the precondition error it raises. classify counts as a method."""
+    if method == "classify":
+        return classify(S)
+    try:
+        return _dmax_dispatch(S, method)
+    except PreconditionError as exc:
+        return type(exc)
+
+
+class TestDispatch:
+    @given(small_gen_lists)
+    @example([1])
+    @example([4, 5, 6])  # arithmetic, three generators, additive, symmetric blowup
+    @example([5, 8, 9, 11])  # additive, blowup not symmetric
+    @settings(max_examples=60, deadline=None)
+    def test_applicable_methods_agree_and_auto_takes_the_first(self, xs):
+        want = dmax(make_semigroup(xs))[0]
+        applicable = []
+        for method, used, applies in DISPATCH_ORDER:
+            if applies(make_semigroup(xs)):
+                assert _dmax_dispatch(make_semigroup(xs), method)[:2] == (want, used)
+                applicable.append(used)
+            else:
+                with pytest.raises(PreconditionError):
+                    _dmax_dispatch(make_semigroup(xs), method)
+        assert _dmax_dispatch(make_semigroup(xs), "oracle")[0] == want
+        assert _dmax_dispatch(make_semigroup(xs), "auto")[:2] == (want, applicable[0])
+
+    @given(small_gen_lists, st.permutations(METHODS + ["classify"]))
+    @settings(max_examples=60, deadline=None)
+    def test_reused_semigroup_gives_what_fresh_ones_give(self, xs, methods):
+        shared = make_semigroup(xs)
+        ctx = blowup(shared)  # held, so that every method below shares it
+        reused = {m: _outcome(shared, m) for m in methods}
+        assert blowup(shared) is ctx
+        assert reused == {m: _outcome(make_semigroup(xs), m) for m in methods}
+
+    @given(small_gen_lists, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dmax_ignores_order_duplicates_and_redundant_generators(self, xs, data):
+        S = make_semigroup(xs)
+        gens = list(S.generators)
+        duplicates = data.draw(st.lists(st.sampled_from(gens), max_size=3))
+        redundant = data.draw(
+            st.lists(st.lists(st.sampled_from(gens), min_size=2, max_size=3).map(sum), max_size=3)
+        )
+        variant = data.draw(st.permutations(gens + duplicates + redundant))
+        T = make_semigroup(variant)
+        assert dmax(T) == dmax(S)
+        assert _dmax_dispatch(T, "auto") == _dmax_dispatch(S, "auto")

@@ -402,6 +402,7 @@ class TestCountFactorizations:
     @settings(max_examples=150, deadline=None)
     def test_matches_filtered_enumeration(self, gens, n, max_len):
         assert count_factorizations(gens, n, max_len) == _filtered_count(gens, n, max_len)
+        assert denumerant(gens, n) == len(enumerate_factorizations(gens, n))
 
 class TestOrders:
     def test_order_of_zero_is_zero(self):

@@ -8,7 +8,9 @@ factorization of s - r*e over it.
 
 Scanning a residue class of S records the adjustment s - ord(s)*e of each
 element. Adjustments never increase along the class and stabilize at the
-least element of B in the class, so the scan is finite. For each distinct
+least element of B in the class, and the distinct ones with their shortest
+lengths over that generating set are the frontier pairs of S mod e in the
+class (semigroup._frontier), so the scan is read off them. For each distinct
 adjustment value the candidate factorizations, the ones short enough to come
 from a maximal-length factorization in S, are counted without being built;
 the largest count is the exact maximum number of maximal-length
@@ -34,13 +36,13 @@ from .semigroup import (
     Factorization,
     GeneratingSet,
     Semigroup,
+    _frontier_of,
     _least_table,
     contains,
     count_factorizations,
     enumerate_factorizations,
     least_in_class,
     make_semigroup,
-    min_order,
     order,
 )
 
@@ -153,11 +155,13 @@ def adjustment(S: Semigroup, s: int) -> int:
 def adjustment_table(ctx: BlowupContext, residue: int) -> AdjustmentTable:
     """Scan residue class `residue` of the source and log adjustments.
 
-    The scan runs from the least element of the class through
-    f + min_order(f over dset) * e, where f is the least element of B in the
-    class; past that point the adjustment stays f, so nothing is missed.
-    Each class is scanned once per context; later calls return the stored
-    table.
+    The scan is read off S's frontier mod e: the class's pairs (v, w) are
+    the distinct adjustment values w, each first reached at v with shortest
+    dset length (v - w)/e, and the adjustment of s is the weight of the last
+    pair with v <= s. Past the last pair the adjustment stays at f, the least
+    element of B in the class. The first value and f are checked against the
+    least tables of S and B. Each class is scanned once per context; later
+    calls return the stored table.
     """
     S = ctx.source
     e = S.multiplicity
@@ -166,31 +170,19 @@ def adjustment_table(ctx: BlowupContext, residue: int) -> AdjustmentTable:
     table = ctx._tables.get(residue)
     if table is not None:
         return table
-    f = ctx.least_blowup_in_class(residue)
-    stop = f + min_order(ctx.dset, f) * e
-    start = least_in_class(S, residue)
-    if stop < start:
+    values, weights = _frontier_of(S, e)[residue]
+    start, f = least_in_class(S, residue), ctx.least_blowup_in_class(residue)
+    if (values[0], weights[-1]) != (start, f):
         raise InternalCheckError(
-            f"scan for class {residue} would end at {stop} before starting at {start}"
+            f"scan of class {residue} runs from {values[0]} to adjustment "
+            f"{weights[-1]}, expected {start} and {f}"
         )
-    rows = []
-    prev_adj: int | None = None
-    for s in range(start, stop + 1, e):
-        r = order(S, s)
-        adj = s - r * e
-        if prev_adj is not None and adj > prev_adj:
-            raise InternalCheckError(
-                f"adjustment increased from {prev_adj} to {adj} at {s} in class {residue}"
-            )
-        prev_adj = adj
-        rows.append((s, r, adj))
-    values = sorted({adj for _, _, adj in rows})
-    if values[0] != f:
-        raise InternalCheckError(
-            f"least adjustment in class {residue} is {values[0]}, expected {f}"
-        )
-    entries = tuple(AdjustmentEntry(v, min_order(ctx.dset, v)) for v in values)
-    table = ctx._tables[residue] = AdjustmentTable(residue, entries, tuple(rows))
+    ends = values[1:] + [values[-1] + e]
+    rows = tuple(
+        (s, (s - w) // e, w) for v, w, end in zip(values, weights, ends) for s in range(v, end, e)
+    )
+    entries = tuple(AdjustmentEntry(w, (v - w) // e) for v, w in zip(values[::-1], weights[::-1]))
+    table = ctx._tables[residue] = AdjustmentTable(residue, entries, rows)
     return table
 
 

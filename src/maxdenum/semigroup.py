@@ -5,18 +5,23 @@ overflow to guard against. A numerical semigroup is the set of nonnegative
 integer combinations of finitely many positive integers with gcd 1; its
 complement in the nonnegative integers is then finite.
 
-One routine builds every table of least elements per residue class: the
-round-robin fold of Boecker and Liptak ("A fast and simple algorithm for the
-money changing problem", Algorithmica 2007) adds one generator to a table
-mod m in O(m). It minimalizes generators, gives the Apery table of S, the
-blowup's table mod the source multiplicity and Apery sets for any base, so
-their cost depends on the moduli and the number of generators, not on how
-large the generators are.
+Two routines carry the tables. The round-robin fold of Boecker and Liptak
+("A fast and simple algorithm for the money changing problem", Algorithmica
+2007) adds one generator to a table of least elements mod m in O(m); it
+minimalizes generators and gives the Apery table of S, the blowup's table mod
+the source multiplicity and Apery sets for any base. The frontier keeps, per
+class mod one generator, the Pareto-least (value, weight) sums of the others;
+it gives longest and shortest factorization lengths and the blowup's
+adjustment scans. Neither holds anything indexed by value, so their cost
+depends on the moduli, the number of generators and the number of adjustment
+values, not on how large the generators are.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import gcd, inf
 
 from .errors import (
@@ -61,7 +66,7 @@ class GeneratingSet:
     the order given at construction.
     """
 
-    __slots__ = ("elements", "_lengths")
+    __slots__ = ("elements", "_frontiers")
 
     def __init__(self, elements) -> None:
         elems = tuple(int(x) for x in elements)
@@ -72,7 +77,7 @@ class GeneratingSet:
         if len(set(elems)) != len(elems):
             raise DuplicateEntry(f"duplicate entries in generating set: {list(elems)}")
         self.elements = elems
-        self._lengths = None
+        self._frontiers: dict = {}
 
     def __repr__(self) -> str:
         return f"GeneratingSet({list(self.elements)})"
@@ -85,19 +90,19 @@ class Semigroup:
     generators and validates the gcd condition. The least element of each
     residue class modulo the multiplicity (the Apery table) is a by-product
     of that reduction and is stored at construction, so membership is
-    constant time. The factorization-length table is grown on demand by
-    order and min_order. _blowup holds a weak reference to the blowup
+    constant time. _frontiers keeps the frontier per pivot that order (pivot
+    e) and min_order build on first use. _blowup holds a weak reference to the blowup
     context that blowup.blowup shares among its callers; the context holds
     the semigroup strongly, so the pair forms no reference cycle and the
     context is freed once its last caller drops it.
     """
 
-    __slots__ = ("generators", "_least", "_lengths", "_blowup")
+    __slots__ = ("generators", "_least", "_frontiers", "_blowup")
 
     def __init__(self, generators: tuple[int, ...], least: list[int]) -> None:
         self.generators = generators
         self._least = least
-        self._lengths = None
+        self._frontiers: dict = {}
         self._blowup = None
 
     @property
@@ -312,75 +317,73 @@ def denumerant(generators, n: int) -> int:
     return count_factorizations(generators, n)[0]
 
 
-class _LengthTable:
-    """Max and min factorization lengths per value, grown on demand.
+def _frontier(gens, pivot: int) -> dict[int, tuple[list[int], list[int]]]:
+    """Pareto-least (value, weight) sums of the generators other than pivot:
+    class r mod pivot maps to (values, weights), values rising and weights
+    falling, where generator a adds |a - pivot| to the weight.
 
-    Index n holds None when n has no factorization, else the extreme length.
-    The recurrence walks one generator back from n, so filling up to n costs
-    n times the number of generators.
+    A factorization of n is such a sum of value v <= n in n's class plus
+    copies of pivot, of length (n - w)/pivot when pivot is the smallest
+    generator and (n + w)/pivot when it is the largest, so the lightest sum
+    up to n gives the extreme length. Sums leave a heap in (value, weight) order and are kept
+    only when lighter than the last kept in their class. Only kept sums step
+    on, by each generator, since a step from a discarded sum is matched, no
+    larger and no heavier, by the same step from the sum that beat it.
     """
-
-    __slots__ = ("gens", "max_len", "min_len")
-
-    def __init__(self, gens: tuple[int, ...]) -> None:
-        self.gens = gens
-        self.max_len: list[int | None] = [0]
-        self.min_len: list[int | None] = [0]
-
-    def grow(self, n: int) -> None:
-        gens = self.gens
-        max_len, min_len = self.max_len, self.min_len
-        for v in range(len(max_len), n + 1):
-            hi: int | None = None
-            lo: int | None = None
-            for g in gens:
-                w = v - g
-                if w < 0:
-                    continue
-                m = max_len[w]
-                if m is None:
-                    continue
-                if hi is None or m + 1 > hi:
-                    hi = m + 1
-                k = min_len[w]
-                if lo is None or k + 1 < lo:  # type: ignore[operator]
-                    lo = k + 1  # type: ignore[operator]
-            max_len.append(hi)
-            min_len.append(lo)
-
-    def pair(self, n: int) -> tuple[int, int] | None:
-        if n < 0:
-            return None
-        if n >= len(self.max_len):
-            self.grow(n)
-        m = self.max_len[n]
-        if m is None:
-            return None
-        return m, self.min_len[n]  # type: ignore[return-value]
+    steps = [(a, abs(a - pivot)) for a in gens if a != pivot]
+    front: dict[int, tuple[list[int], list[int]]] = {}
+    heap = [(0, 0)]
+    while heap:
+        v, w = heappop(heap)
+        got = front.get(v % pivot)
+        if got is None:
+            got = front[v % pivot] = ([], [])
+        elif w >= got[1][-1]:
+            continue
+        got[0].append(v)
+        got[1].append(w)
+        for a, d in steps:
+            heappush(heap, (v + a, w + d))
+    return front
 
 
-def _lengths_for(generators) -> _LengthTable:
-    if isinstance(generators, (Semigroup, GeneratingSet)):
-        if generators._lengths is None:
-            generators._lengths = _LengthTable(elements_of(generators))
-        return generators._lengths
-    return _LengthTable(elements_of(generators))
+def _frontier_of(held, pivot: int) -> dict[int, tuple[list[int], list[int]]]:
+    """The frontier of a Semigroup or GeneratingSet, built once per pivot."""
+    front = held._frontiers.get(pivot)
+    if front is None:
+        front = held._frontiers[pivot] = _frontier(elements_of(held), pivot)
+    return front
+
+
+def _lightest(generators, n: int, pick) -> tuple[int, int]:
+    """The pivot p = pick(generators) and the weight of the last frontier
+    pair of value at most n in n's class mod p."""
+    if not isinstance(generators, (Semigroup, GeneratingSet)):
+        generators = GeneratingSet(generators)  # a frontier for this call only
+    gens = elements_of(generators)
+    p = pick(gens)
+    got = _frontier_of(generators, p).get(n % p) if n >= 0 else None
+    k = bisect_right(got[0], n) if got else 0
+    if not k:
+        raise NotRepresentable(f"{n} has no factorization over {gens}")
+    return p, got[1][k - 1]
 
 
 def order(generators, n: int) -> int:
-    """Length of a longest factorization of n over the generating set."""
-    pair = _lengths_for(generators).pair(n)
-    if pair is None:
-        raise NotRepresentable(f"{n} has no factorization over {elements_of(generators)}")
-    return pair[0]
+    """Length of a longest factorization of n over the generating set. The
+    frontier mod the smallest generator follows the structure (for a
+    semigroup, one pair per adjustment value), not the size of n or of the
+    generators."""
+    p, w = _lightest(generators, n, min)
+    return (n - w) // p
 
 
 def min_order(generators, n: int) -> int:
-    """Length of a shortest factorization of n over the generating set."""
-    pair = _lengths_for(generators).pair(n)
-    if pair is None:
-        raise NotRepresentable(f"{n} has no factorization over {elements_of(generators)}")
-    return pair[1]
+    """Length of a shortest factorization of n over the generating set. The
+    frontier mod the largest generator has a pair in each class it reaches,
+    so its cost follows the largest generator."""
+    p, w = _lightest(generators, n, max)
+    return (n + w) // p
 
 
 def max_denumerant_element(S: Semigroup, s: int) -> int:

@@ -1,14 +1,18 @@
 import gc
 import importlib
+import math
 import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maxdenum import (
     BlowupContext,
     Factorization,
     InputError,
+    InternalCheckError,
     NotAMember,
     PreconditionError,
     adjustment,
@@ -19,6 +23,7 @@ from maxdenum import (
     dmax,
     dmax_additive,
     dmax_symmetric_blowup,
+    enumerate_factorizations,
     is_additive,
     is_symmetric,
     least_in_class,
@@ -39,6 +44,29 @@ SHARING_INPUTS = {
     "symmetric-blowup": (5, 7, 8, 9),
     "general": REFERENCE,
 }
+
+# multiplicity 1..12 and up to four more generators below 3e
+small_gen_lists = (
+    st.integers(1, 12)
+    .flatmap(
+        lambda e: st.lists(st.integers(e + 1, 3 * e), max_size=4).map(lambda xs: [e, *xs])
+    )
+    .filter(lambda xs: math.gcd(*xs) == 1)
+)
+
+
+def brute_scan(S, ctx, r):
+    """Rows (s, ord(s), s - ord(s)*e) of class r from its least element up
+    to the first s whose adjustment is the least blowup element of the
+    class, with ord(s) the longest length among all factorizations of s."""
+    e = S.multiplicity
+    rows = []
+    s = least_in_class(S, r)
+    while not rows or rows[-1][2] != ctx.least_blowup_in_class(r):
+        longest = max(f.length for f in enumerate_factorizations(S, s))
+        rows.append((s, longest, s - longest * e))
+        s += e
+    return tuple(rows)
 
 
 class TestBlowupContext:
@@ -121,6 +149,41 @@ class TestAdjustmentTable:
         ctx = blowup(make_semigroup([1]))
         table = adjustment_table(ctx, 0)
         assert table.scan_log == ((0, 0, 0),)
+
+    @given(small_gen_lists)
+    @example(list(REFERENCE))
+    @example([8, 13, 18, 23])
+    @settings(max_examples=60, deadline=None)
+    def test_scans_match_brute_force(self, gens):
+        S = make_semigroup(gens)
+        ctx = blowup(S)
+        for r in range(S.multiplicity):
+            table = adjustment_table(ctx, r)
+            assert table.scan_log == brute_scan(S, ctx, r), (S, r)
+            values = sorted({adj for _, _, adj in table.scan_log})
+            assert [x.value for x in table.entries] == values
+            for x in table.entries:
+                shortest = min(f.length for f in enumerate_factorizations(ctx.dset, x.value))
+                assert x.min_order == shortest, (S, r, x)
+
+    def test_corrupt_least_blowup_table_fails_the_scan_check(self, monkeypatch, capsys):
+        # the scan is read off S's frontier and cross-checked against the
+        # least tables of S and B, which are built independently of it
+        ctx = blowup(make_semigroup(REFERENCE))
+        ctx._least_b[11] += 15
+        with pytest.raises(InternalCheckError):
+            adjustment_table(ctx, 11)
+        # the CLI builds its own context, so corrupt the table as it is built
+        init = BlowupContext.__init__
+
+        def corrupting_init(self, source):
+            init(self, source)
+            self._least_b[11] += 15
+
+        monkeypatch.setattr(BlowupContext, "__init__", corrupting_init)
+        argv = ["table", *map(str, REFERENCE), "--residue", "11", "--format", "json"]
+        assert main(argv) == 4
+        assert "class 11" in capsys.readouterr().err
 
     def test_scan_starts_at_least_class_element_and_ends_stable(self):
         S = make_semigroup([7, 11, 13])

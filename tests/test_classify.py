@@ -23,12 +23,11 @@ from maxdenum import (
     dmax_ed3_bezout,
     dmax_ed3_ceiling,
     dmax_symmetric_blowup,
+    enumerate_factorizations,
     is_additive,
     is_supersymmetric,
     is_symmetric,
     make_semigroup,
-    min_order,
-    order,
     partition_count,
 )
 from maxdenum.classify import _bezout
@@ -65,17 +64,21 @@ def additive_by_order_scan(S):
 
     The limit covers every class through the point where its adjustment
     reaches the least blowup element, past which the order grows by exactly
-    one per step of e forever.
+    one per step of e forever. Orders and the limit come from enumerated
+    factorizations, so the check shares no code with the engine's scans.
     """
     e = S.multiplicity
     ctx = blowup(S)
+
+    def lengths(gens, n):
+        return [f.length for f in enumerate_factorizations(gens, n)]
+
     limit = e + max(
-        ctx.least_blowup_in_class(i) + min_order(ctx.dset, ctx.least_blowup_in_class(i)) * e
-        for i in range(e)
+        f + min(lengths(ctx.dset, f)) * e
+        for f in (ctx.least_blowup_in_class(i) for i in range(e))
     )
-    return all(
-        order(S, u + e) == order(S, u) + 1 for u in range(limit + 1) if contains(S, u)
-    )
+    longest = {u: max(lengths(S, u)) for u in range(limit + e + 1) if contains(S, u)}
+    return all(longest[u + e] == longest[u] + 1 for u in range(limit + 1) if u in longest)
 
 
 class TestCeilDiv:

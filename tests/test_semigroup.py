@@ -13,6 +13,7 @@ import maxdenum
 from maxdenum import (
     AperySet,
     DuplicateEntry,
+    Ed3Input,
     EmptyInput,
     Factorization,
     GcdNotOne,
@@ -26,6 +27,8 @@ from maxdenum import (
     contains,
     count_factorizations,
     denumerant,
+    dmax_arithmetic,
+    dmax_ed3,
     enumerate_factorizations,
     frobenius_number,
     least_in_class,
@@ -204,14 +207,19 @@ class TestLeastTables:
         assert_least_table(xs, u, sorted(ap.elements, key=lambda w: w % u))
 
 
-# the calls must not allocate by the size of the generators: at 10**12 a
-# table indexed by value would need terabytes, so the child's address space
-# is capped and a regression fails as MemoryError
+# the calls must not allocate by the size of the generators or of the
+# queried elements: at 10**12 a table indexed by value would need terabytes,
+# so the child's address space is capped and a regression fails as
+# MemoryError. min_order is left out: its cost follows the largest generator.
 MAGNITUDE_CHILD = """
-import json, resource
+import contextlib, dataclasses, io, json, resource
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
-from maxdenum import apery_set, blowup, frobenius_number, least_in_class, make_semigroup
+from maxdenum import (
+    adjustment_table, apery_set, blowup, classify, dmax, frobenius_number,
+    least_in_class, make_semigroup, order,
+)
+from maxdenum.cli import main
 out = []
 for gens in ([3, 10**12 + 1], [5, 7, 10**12 + 3, 2 * 10**12]):
     S = make_semigroup(gens)
@@ -225,23 +233,80 @@ for gens in ([3, 10**12 + 1], [5, 7, 10**12 + 3, 2 * 10**12]):
         "least_blowup": [ctx.least_blowup_in_class(r) for r in range(e)],
         "blowup": ctx.blowup.generators,
     })
-print(json.dumps(out))
+engine = []
+for gens in ENGINE_INPUTS:
+    S = make_semigroup(gens)
+    ctx = blowup(S)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["dmax", *map(str, gens), "--verify", "--format", "json"])
+    engine.append({
+        "dmax": dmax(S)[0],
+        "orders": [order(S, n) for n in ORDER_TARGETS],
+        "orders_of_input": [order(gens, n) for n in ORDER_TARGETS],
+        "tables": [
+            [t.scan_log, [[x.value, x.min_order] for x in t.entries]]
+            for t in (adjustment_table(ctx, r) for r in range(S.multiplicity))
+        ],
+        "classify": dataclasses.asdict(classify(S)),
+        "cli": [code, json.loads(stdout.getvalue())["result"]["value"]],
+    })
+print(json.dumps({"least": out, "engine": engine}))
 """
+
+BIG = 10**12
+# [3, BIG + 1] is an arithmetic sequence and [4, 6, BIG + 1] has three
+# generators, so their closed forms give dmax; BIG + 7 is redundant beside
+# 6, 9 and 10, which makes the third input <6, 9, 10> with its orders asked
+# far beyond every generator
+ENGINE_INPUTS = ([3, BIG + 1], [4, 6, BIG + 1], [6, 9, 10, BIG + 7])
+ORDER_TARGETS = range(10**15, 10**15 + 6)
+
+
+def longest_by_exchange(gens, n):
+    """Longest factorization length of n over gens, smallest first. Some
+    longest factorization uses every other generator a fewer than gens[0]
+    times, since gens[0] copies of a trade for a copies of gens[0]."""
+    e, *rest = gens
+    lengths = [
+        (n - v) // e + sum(cs)
+        for cs in itertools.product(range(e), repeat=len(rest))
+        for v in [sum(c * a for c, a in zip(cs, rest))]
+        if v <= n and (n - v) % e == 0
+    ]
+    return max(lengths)
+
+
+def single_pair_tables(gens, pairs):
+    """Adjustment tables, as the child prints them, of a semigroup whose
+    every class has one adjustment value: pairs lists the least element s of
+    each nonzero class with its longest length r, and the class's scan is
+    the one row (s, r, s - r*e)."""
+    e = gens[0]
+    tables = {0: [[[0, 0, 0]], [[0, 0]]]}
+    for s, r in pairs:
+        tables[s % e] = [[[s, r, s - r * e]], [[s - r * e, r]]]
+    return [tables[i] for i in range(e)]
 
 
 class TestMagnitude:
     def test_huge_generators_cost_nothing_by_size(self):
         env = dict(os.environ, PYTHONPATH=str(Path(maxdenum.__file__).parents[1]))
+        child = (
+            f"ENGINE_INPUTS = {ENGINE_INPUTS!r}\n"
+            f"ORDER_TARGETS = {list(ORDER_TARGETS)!r}\n" + MAGNITUDE_CHILD
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", MAGNITUDE_CHILD],
+            [sys.executable, "-c", child],
             capture_output=True,
             text=True,
             timeout=30,
             env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        big = 10**12
-        assert json.loads(proc.stdout) == [
+        got = json.loads(proc.stdout)
+        big = BIG
+        assert got["least"] == [
             {
                 "generators": [3, big + 1],
                 "frobenius": 2 * big - 1,
@@ -259,6 +324,38 @@ class TestMagnitude:
                 "blowup": [2, 5],
             },
         ]
+        # every class of these semigroups has one adjustment value: its
+        # least element s is a short sum of the non-multiplicity generators,
+        # and every later element of the class adds copies of e to it
+        expected_tables = [
+            single_pair_tables([3, big + 1], [(big + 1, 1), (2 * big + 2, 2)]),
+            single_pair_tables([4, 6, big + 1], [(big + 1, 1), (6, 1), (big + 7, 2)]),
+            single_pair_tables([6, 9, 10], [(19, 2), (20, 2), (9, 1), (10, 1), (29, 3)]),
+        ]
+        ed3 = Ed3Input.from_generators
+        expected = [
+            (dmax_arithmetic(3, big - 2, 1), [3, big + 1], (3, big - 2, 1)),
+            (dmax_ed3(ed3(4, 6, big + 1)), [4, 6, big + 1], None),
+            (dmax_ed3(ed3(6, 9, 10)), [6, 9, 10], None),
+        ]
+        assert len(got["engine"]) == len(expected)
+        for row, (value, gens, arithmetic), tables in zip(
+            got["engine"], expected, expected_tables
+        ):
+            orders = [longest_by_exchange(gens, n) for n in ORDER_TARGETS]
+            assert row["dmax"] == value, gens
+            assert row["orders"] == row["orders_of_input"] == orders, gens
+            assert row["tables"] == json.loads(json.dumps(tables)), gens
+            # one adjustment value per class makes each input additive; the
+            # blowups <3, BIG - 2>, <2, BIG - 3> and <3, 4> have two
+            # generators, so they are symmetric
+            assert row["classify"] == {
+                "additive": True,
+                "blowup_symmetric": True,
+                "supersymmetric": True,
+                "arithmetic_sequence": json.loads(json.dumps(arithmetic)),
+            }, gens
+            assert row["cli"] == [0, value], gens
 
 
 class TestAperySet:
@@ -409,19 +506,27 @@ class TestOrders:
         assert order((4, 5, 6), 0) == 0
         assert min_order((4, 5, 6), 0) == 0
 
-    def test_orders_match_enumeration_extremes(self):
-        gens = (5, 6, 7)
-        for n in range(0, 80):
-            facts = enumerate_factorizations(gens, n)
-            if not facts:
-                with pytest.raises(NotRepresentable):
-                    order(gens, n)
-                with pytest.raises(NotRepresentable):
-                    min_order(gens, n)
-                continue
-            lengths = [f.length for f in facts]
-            assert order(gens, n) == max(lengths)
-            assert min_order(gens, n) == min(lengths)
+    @given(st.lists(st.integers(1, 25), min_size=1, max_size=4, unique=True))
+    @example([5, 6, 7])
+    @example([7, 3])  # the first generator is not the smallest
+    @example([6, 4, 10])  # gcd 2: every odd n is unrepresentable
+    @example([4])
+    @settings(max_examples=80, deadline=None)
+    def test_orders_match_enumeration_extremes(self, gens):
+        # a GeneratingSet keeps its frontiers across the calls; a plain list
+        # builds them afresh on each call
+        held = GeneratingSet(gens)
+        for n in range(-3, 80):
+            lengths = [f.length for f in enumerate_factorizations(gens, n)]
+            for g in (gens, held):
+                if not lengths:
+                    with pytest.raises(NotRepresentable):
+                        order(g, n)
+                    with pytest.raises(NotRepresentable):
+                        min_order(g, n)
+                    continue
+                assert order(g, n) == max(lengths), (g, n)
+                assert min_order(g, n) == min(lengths), (g, n)
 
     def test_order_grows_by_at_least_one_per_multiplicity_step(self):
         S = make_semigroup([15, 17, 36, 38, 71])
